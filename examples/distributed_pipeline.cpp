@@ -1,17 +1,16 @@
-// Distributed pipeline demo: extraction split across "hosts" connected by a
-// real TCP socket, with
-//   1. live relocation of the extraction segment between virtual hosts,
-//   2. a station streaming audio records over TCP into a push-based
+// Distributed pipeline demo: stations and the analysis host connected by
+// real TCP sockets, with
+//   1. a station streaming audio records over TCP into a push-based
 //      StreamSession (RecordChannelSource -> session -> sink) that keeps
 //      extracting while the upstream is still sending — then dies mid-clip,
 //      showing the session finalize the open ensemble and the source report
 //      the abnormal close, and
-//   3. the sensor-network ingest shape: several stations stream over TCP at
+//   2. the sensor-network ingest shape: several stations stream over TCP at
 //      once into ONE analysis host, which multiplexes all of their sessions
 //      through a single SessionScheduler — per-station bounded ingest
 //      queues, deficit-round-robin fairness, and one of the upstreams dying
 //      mid-clip without disturbing the others, and
-//   4. the archive shape: the same audio teed into a rotating segment store
+//   3. the archive shape: the same audio teed into a rotating segment store
 //      while it is extracted live, then backfill-replayed through the
 //      scheduler — same sessions, bit-identical ensembles, batch speed.
 //
@@ -28,94 +27,24 @@
 #include <thread>
 #include <vector>
 
-#include "core/birdsong.hpp"
 #include "core/ops_acoustic.hpp"
 #include "core/session_scheduler.hpp"
 #include "core/stream_session.hpp"
-#include "river/manager.hpp"
 #include "river/sample_io.hpp"
-#include "river/scope.hpp"
 #include "river/segment_store.hpp"
-#include "river/stream_io.hpp"
 #include "river/tcp.hpp"
 #include "synth/station.hpp"
 
 namespace core = dynriver::core;
 namespace river = dynriver::river;
 namespace synth = dynriver::synth;
-using river::Record;
-using river::RecvStatus;
 
 namespace {
 const core::PipelineParams kParams;
-
-void feed_clip(river::RecordChannel& ch, synth::SensorStation& station,
-               synth::SpeciesId species) {
-  const auto clip = station.record_clip({species});
-  river::AttrMap attrs;
-  attrs.emplace(core::kAttrSpecies, synth::species(species).code);
-  for (auto& rec : core::clip_to_records(clip.clip, clip.clip_id,
-                                         kParams.record_size, attrs)) {
-    ch.send(std::move(rec));
-  }
-}
 }  // namespace
 
 int main() {
-  std::printf("Part 1: extraction segment relocated between hosts mid-stream\n");
-  std::printf("--------------------------------------------------------------\n");
-  {
-    river::PipelineManager manager;
-    manager.add_host("field-station");
-    manager.add_host("observatory");
-
-    auto source = std::make_shared<river::InProcessChannel>(32);
-    auto sink = std::make_shared<river::InProcessChannel>(100000);
-    manager.deploy(
-        std::make_unique<river::Segment>(
-            "birdsong", core::make_full_pipeline(kParams), source, sink),
-        "field-station");
-    std::printf("deployed segment 'birdsong' on %s\n",
-                manager.location_of("birdsong").c_str());
-
-    synth::StationParams sp;
-    sp.distractor_probability = 0.0;
-    synth::SensorStation station(sp, 42);
-    std::thread feeder([&] {
-      for (int c = 0; c < 4; ++c) {
-        feed_clip(*source, station,
-                  static_cast<synth::SpeciesId>(static_cast<std::size_t>(c) %
-                                                synth::kNumSpecies));
-        if (c == 1) {
-          // Relocate while clips keep flowing.
-          manager.relocate("birdsong", "observatory");
-          std::printf("relocated segment 'birdsong' to %s (mid-stream)\n",
-                      manager.location_of("birdsong").c_str());
-        }
-      }
-      source->close();
-    });
-    feeder.join();
-    const auto stats = manager.wait_all();
-
-    std::vector<Record> collected;
-    Record rec;
-    while (sink->recv(rec) == RecvStatus::kRecord) collected.push_back(rec);
-    const auto patterns = core::harvest_patterns(collected);
-
-    river::ScopeTracker tracker;
-    for (const auto& r : collected) tracker.observe(r);
-
-    std::printf(
-        "records processed: %zu (field-station: %zu, observatory: %zu)\n",
-        stats.at("birdsong").records_in,
-        manager.host("field-station").records_processed(),
-        manager.host("observatory").records_processed());
-    std::printf("patterns harvested: %zu; output scope-well-formed: %s\n\n",
-                patterns.size(), tracker.any_open() ? "NO" : "yes");
-  }
-
-  std::printf("Part 2: live TCP ingest into a StreamSession; upstream dies mid-clip\n");
+  std::printf("Part 1: live TCP ingest into a StreamSession; upstream dies mid-clip\n");
   std::printf("--------------------------------------------------------------------\n");
   {
     river::TcpListener listener(0);
@@ -174,7 +103,7 @@ int main() {
         "(paper, Section 5).\n\n");
   }
 
-  std::printf("Part 3: many stations over TCP, one SessionScheduler host\n");
+  std::printf("Part 2: many stations over TCP, one SessionScheduler host\n");
   std::printf("---------------------------------------------------------\n");
   {
     constexpr std::size_t kUpstreams = 3;
@@ -256,7 +185,7 @@ int main() {
         kUpstreams, stats.rounds);
   }
 
-  std::printf("Part 4: segment-store archive + backfill replay through the scheduler\n");
+  std::printf("Part 3: segment-store archive + backfill replay through the scheduler\n");
   std::printf("---------------------------------------------------------------------\n");
   {
     const auto dir =
@@ -316,7 +245,7 @@ int main() {
     }
 
     // Backfill: replay the whole archive through the SAME scheduler shape
-    // that serves live stations in Part 3. The replay source seeks the
+    // that serves live stations in Part 2. The replay source seeks the
     // manifest, streams only overlapping segments, and the session emits
     // bit-identical ensembles at batch speed.
     core::SessionScheduler scheduler;

@@ -13,7 +13,7 @@
 #include <cstdlib>
 #include <vector>
 
-#include "core/birdsong.hpp"
+#include "core/params.hpp"
 #include "core/stream_session.hpp"
 #include "eval/protocol.hpp"
 #include "meso/classifier.hpp"
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   const core::PipelineParams params;  // the paper's configuration
 
   std::printf("Dynamic River quickstart\n========================\n\n");
-  std::printf("Pipeline (paper Fig. 5):\n  %s\n\n",
+  std::printf("Topology (paper Fig. 5):\n  %s\n\n",
               core::pipeline_diagram(params).c_str());
 
   // One streaming session for the whole program; reset() between clips

@@ -3,10 +3,9 @@
 // EnsembleExtractor is a thin wrapper over core::StreamSession: extract()
 // opens a session with full-history signal taps, pushes the whole clip, and
 // finishes — so batch and chunked execution share one code path and are
-// bit-identical by construction. It is semantically identical to running
-// the river operators (verified by integration tests) and is convenient for
-// analysis code, tests, and the figure benches; long-running ingest should
-// use StreamSession directly (bounded memory, ensembles as they close).
+// bit-identical by construction. It is convenient for analysis code, tests,
+// and the figure benches; long-running ingest should use StreamSession
+// directly (bounded memory, ensembles as they close).
 #pragma once
 
 #include <memory>
@@ -40,8 +39,8 @@ struct ExtractionResult {
 class EnsembleExtractor {
  public:
   /// `engine` lets the extractor share one SpectralEngine with other
-  /// spectral consumers (FeatureExtractor, river pipelines); nullptr builds
-  /// a private engine from `params`.
+  /// spectral consumers (FeatureExtractor, other extractors); nullptr
+  /// builds a private engine from `params`.
   explicit EnsembleExtractor(PipelineParams params,
                              std::shared_ptr<const SpectralEngine> engine = nullptr);
 

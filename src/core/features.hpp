@@ -1,8 +1,8 @@
-// Batch feature extraction facade: ensemble samples -> patterns.
+// Feature extraction: ensemble samples -> patterns.
 //
-// Mirrors the spectral pipeline segment (reslice, welchwindow, float2cplx,
-// dft, cabs, cutout, paa, rec2vect) as direct DSP calls. Equivalence with
-// the river operators is covered by integration tests.
+// The one featurizer. It runs the paper's spectral stages (Figure 5:
+// reslice, welchwindow, float2cplx, dft, cabs, cutout, paa, rec2vect) as
+// direct DSP calls over a whole ensemble; pipeline_diagram names them.
 #pragma once
 
 #include <memory>
@@ -16,8 +16,8 @@ namespace dynriver::core {
 
 class FeatureExtractor {
  public:
-  /// `engine` lets several extractors (and river pipelines) share one
-  /// SpectralEngine; nullptr builds a private engine from `params`.
+  /// `engine` lets several extractors share one SpectralEngine; nullptr
+  /// builds a private engine from `params`.
   explicit FeatureExtractor(PipelineParams params,
                             std::shared_ptr<const SpectralEngine> engine = nullptr);
 

@@ -1,11 +1,12 @@
 #include "core/ops_acoustic.hpp"
 
+#include <algorithm>
+
 #include "common/contracts.hpp"
 
 namespace dynriver::core {
 
 using river::Record;
-using river::RecordType;
 
 std::vector<Record> clip_to_records(const dsp::WavClip& clip,
                                     std::uint64_t clip_id,
@@ -36,64 +37,6 @@ std::vector<Record> clip_to_records(const dsp::WavClip& clip,
 
   out.push_back(Record::close_scope(river::kScopeClip, 0));
   return out;
-}
-
-Wav2RecOp::Wav2RecOp(std::size_t record_size) : record_size_(record_size) {
-  DR_EXPECTS(record_size >= 1);
-}
-
-void Wav2RecOp::process(Record rec, river::Emitter& out) {
-  if (rec.type != RecordType::kData || !rec.is_bytes()) {
-    out.emit(std::move(rec));  // scope records and non-WAV data pass through
-    return;
-  }
-  const auto clip = dsp::decode_wav(rec.bytes());
-  const std::uint64_t clip_id =
-      rec.has_attr(kAttrClipId)
-          ? static_cast<std::uint64_t>(rec.attr_int(kAttrClipId, 0))
-          : next_clip_id_++;
-  for (auto& clip_rec : clip_to_records(clip, clip_id, record_size_, rec.attrs)) {
-    out.emit(std::move(clip_rec));
-  }
-}
-
-Rec2WavOp::Rec2WavOp(std::uint32_t scope_type) : scope_type_(scope_type) {}
-
-void Rec2WavOp::process(Record rec, river::Emitter& out) {
-  switch (rec.type) {
-    case RecordType::kOpenScope:
-      if (!collecting_ && rec.scope_type == scope_type_) {
-        collecting_ = true;
-        open_depth_ = rec.scope_depth;
-        sample_rate_ = rec.attr_double(kAttrSampleRate, 0.0);
-        attrs_ = rec.attrs;
-        samples_.clear();
-      }
-      return;
-    case RecordType::kCloseScope:
-    case RecordType::kBadCloseScope:
-      if (collecting_ && rec.scope_type == scope_type_ &&
-          rec.scope_depth == open_depth_) {
-        collecting_ = false;
-        dsp::WavClip clip;
-        DR_ASSERT(sample_rate_ > 0);
-        clip.sample_rate = static_cast<std::uint32_t>(sample_rate_);
-        clip.channels = 1;
-        clip.samples = std::move(samples_);
-        samples_ = {};
-        Record wav = Record::data_bytes(river::kSubtypeRaw, dsp::encode_wav(clip));
-        wav.attrs = std::move(attrs_);
-        attrs_ = {};
-        out.emit(std::move(wav));
-      }
-      return;
-    case RecordType::kData:
-      if (collecting_ && rec.subtype == river::kSubtypeAudio && rec.is_float()) {
-        const auto f = rec.floats();
-        samples_.insert(samples_.end(), f.begin(), f.end());
-      }
-      return;
-  }
 }
 
 }  // namespace dynriver::core

@@ -1,11 +1,13 @@
-// Acquisition-side operators: wav2rec and clip record construction.
+// Acquisition-side record construction: a decoded clip as a scoped record
+// stream (the paper's wav2rec step), plus the acoustic attribute vocabulary.
 #pragma once
 
-#include <string>
+#include <cstdint>
+#include <vector>
 
 #include "core/params.hpp"
 #include "dsp/wav.hpp"
-#include "river/operator.hpp"
+#include "river/record.hpp"
 
 namespace dynriver::core {
 
@@ -27,41 +29,5 @@ using river::kAttrNumSamples;
 [[nodiscard]] std::vector<river::Record> clip_to_records(
     const dsp::WavClip& clip, std::uint64_t clip_id, std::size_t record_size,
     const river::AttrMap& extra_attrs = {});
-
-/// wav2rec: "encapsulate acoustic data (WAV format in this case) in pipeline
-/// records" (paper, Section 3). Consumes Data records whose byte payload is
-/// a complete WAV blob (one clip per record) and emits the clip's scoped
-/// record stream. Attributes on the incoming record are copied onto the
-/// clip's OpenScope.
-class Wav2RecOp final : public river::Operator {
- public:
-  explicit Wav2RecOp(std::size_t record_size);
-
-  void process(river::Record rec, river::Emitter& out) override;
-  [[nodiscard]] std::string_view name() const override { return "wav2rec"; }
-
- private:
-  std::size_t record_size_;
-  std::uint64_t next_clip_id_ = 0;
-};
-
-/// Reassemble the audio inside each scope back into a WAV clip (the inverse
-/// of wav2rec, for archiving extracted ensembles). Emits one Data record
-/// with WAV bytes per closed scope of the configured type.
-class Rec2WavOp final : public river::Operator {
- public:
-  explicit Rec2WavOp(std::uint32_t scope_type);
-
-  void process(river::Record rec, river::Emitter& out) override;
-  [[nodiscard]] std::string_view name() const override { return "rec2wav"; }
-
- private:
-  std::uint32_t scope_type_;
-  bool collecting_ = false;
-  std::uint32_t open_depth_ = 0;
-  double sample_rate_ = 0.0;
-  river::AttrMap attrs_;
-  std::vector<float> samples_;
-};
 
 }  // namespace dynriver::core

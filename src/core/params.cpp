@@ -1,6 +1,7 @@
 #include "core/params.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "common/contracts.hpp"
 
@@ -53,6 +54,18 @@ void PipelineParams::validate() const {
   DR_EXPECTS(pattern_merge >= 1);
   DR_EXPECTS(pattern_stride >= 1);
   DR_EXPECTS(bins_per_record() >= 1);
+}
+
+std::string pipeline_diagram(const PipelineParams& params) {
+  params.validate();
+  std::string out =
+      "sensor -> readout -> storage -> data feed -> wav2rec -> saxanomaly -> "
+      "trigger -> cutter";
+  if (params.reslice) out += " -> reslice";
+  out += " -> welchwindow -> float2cplx -> dft -> cabs -> cutout";
+  if (params.use_paa && params.paa_factor > 1) out += " -> paa";
+  out += " -> rec2vect -> MESO";
+  return out;
 }
 
 }  // namespace dynriver::core

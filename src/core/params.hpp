@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 
 #include "dsp/window.hpp"
 #include "ts/anomaly.hpp"
@@ -75,5 +76,11 @@ struct PipelineParams {
 
   void validate() const;
 };
+
+/// Text rendering of the paper's Figure 5 operator graph for the given
+/// parameters: the acquisition chain, the extraction stages (saxanomaly ->
+/// trigger -> cutter, run by StreamSession) and the featurization stages
+/// (run by FeatureExtractor). reslice and paa appear only when enabled.
+[[nodiscard]] std::string pipeline_diagram(const PipelineParams& params);
 
 }  // namespace dynriver::core

@@ -27,7 +27,6 @@ std::span<const float> cached_window(dsp::WindowKind kind, std::size_t n) {
 /// Thread-local transform scratch shared across engine instances.
 struct Scratch {
   std::vector<float> padded;
-  std::vector<dsp::Cplx> cplx;
 };
 
 Scratch& local_scratch() {
@@ -44,11 +43,6 @@ SpectralEngine::SpectralEngine(dsp::WindowKind window, std::size_t dft_size)
 
 SpectralEngine::SpectralEngine(const PipelineParams& params)
     : SpectralEngine(params.window, params.dft_size) {}
-
-void SpectralEngine::apply_window(std::span<float> record) const {
-  if (record.empty()) return;
-  dsp::apply_window(record, cached_window(window_, record.size()));
-}
 
 void SpectralEngine::windowed_magnitudes(std::span<const float> record,
                                          std::vector<float>& out) const {
@@ -84,23 +78,6 @@ void SpectralEngine::windowed_magnitudes_batch(std::span<const float> records,
                             window.data(), record_len);
     plan.magnitudes(std::span<const float>(padded, dft_size_),
                     std::span<float>(out.data() + r * dft_size_, dft_size_));
-  }
-}
-
-void SpectralEngine::dft(std::span<const std::complex<float>> in,
-                         std::vector<std::complex<float>>& out) const {
-  Scratch& scratch = local_scratch();
-  scratch.cplx.assign(dft_size_, dsp::Cplx(0, 0));
-  const std::size_t n = std::min(in.size(), dft_size_);
-  for (std::size_t i = 0; i < n; ++i) {
-    scratch.cplx[i] = dsp::Cplx(in[i].real(), in[i].imag());
-  }
-  dsp::local_plan_cache().get(dft_size_).forward(scratch.cplx);
-
-  out.resize(dft_size_);
-  for (std::size_t i = 0; i < dft_size_; ++i) {
-    out[i] = {static_cast<float>(scratch.cplx[i].real()),
-              static_cast<float>(scratch.cplx[i].imag())};
   }
 }
 

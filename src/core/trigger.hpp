@@ -1,41 +1,17 @@
-// The ensemble-extraction segment: saxanomaly -> trigger -> cutter
-// (paper, Section 3, Figure 5).
+// The paper's adaptive trigger (Section 3, Figure 5 "trigger").
 //
-// saxanomaly outputs the moving average of the SAX bitmap anomaly score in
-// addition to the original acoustic data. trigger transforms the score into
-// a discrete 0/1 signal using an adaptive threshold (mu0 + k*sigma0 estimated
-// over untriggered scores). cutter consumes both streams and cuts the
-// original signal into ensembles delimited by OpenScope/CloseScope pairs of
-// scope type `scope_ensemble`, nested inside the clip scope.
+// The trigger transforms the smoothed SAX bitmap anomaly score into a
+// discrete 0/1 signal using an adaptive threshold: mu0 + k*sigma0, with
+// mu0/sigma0 estimated over untriggered scores only.
 #pragma once
 
 #include <cmath>
-#include <optional>
-#include <vector>
-
-#include "core/params.hpp"
-#include "core/stream_cutter.hpp"
-#include "river/operator.hpp"
-#include "ts/anomaly.hpp"
+#include <cstddef>
 
 namespace dynriver::core {
 
-/// saxanomaly: per audio Data record, forwards the original record and emits
-/// a parallel kSubtypeAnomalyScore record of smoothed per-sample scores.
-/// Scorer state resets at every clip OpenScope.
-class SaxAnomalyOp final : public river::Operator {
- public:
-  explicit SaxAnomalyOp(const ts::AnomalyParams& params);
-
-  void process(river::Record rec, river::Emitter& out) override;
-  [[nodiscard]] std::string_view name() const override { return "saxanomaly"; }
-
- private:
-  ts::StreamingAnomalyScorer scorer_;
-};
-
-/// Sample-wise adaptive trigger state machine, shared by the TriggerOp
-/// operator and the batch extraction facade.
+/// Sample-wise adaptive trigger state machine, run by every extraction
+/// session (and through them by the batch facades).
 ///
 /// mu0/sigma0 are estimated incrementally from scores observed while the
 /// trigger is 0; the trigger emits 1 while score > mu0 + sigma_threshold *
@@ -50,7 +26,7 @@ class TriggerState {
                std::size_t hold_samples = 0);
 
   /// Feed one (smoothed) anomaly score; returns the trigger value (0 or 1).
-  /// Header-inline: one call per sample in every session/operator scoring
+  /// Header-inline: one call per sample in every session scoring
   /// loop — outlined, the call plus the baseline update were a measurable
   /// slice of per-sample extraction cost.
   [[nodiscard]] bool push(double score) {
@@ -127,65 +103,6 @@ class TriggerState {
   bool active_ = false;
   bool seen_nonzero_ = false;  // skip the scorer's warmup zeros
   std::size_t below_count_ = 0;
-};
-
-/// trigger: consumes kSubtypeAnomalyScore records (dropping them) and emits
-/// kSubtypeTrigger records of equal length with values in {0, 1}. All other
-/// records pass through. State resets at every clip OpenScope.
-class TriggerOp final : public river::Operator {
- public:
-  TriggerOp(double sigma_threshold, std::size_t min_baseline,
-            std::size_t hold_samples = 0);
-
-  void process(river::Record rec, river::Emitter& out) override;
-  [[nodiscard]] std::string_view name() const override { return "trigger"; }
-
- private:
-  TriggerState state_;
-};
-
-/// cutter: pairs audio records with trigger records sample-by-sample and
-/// cuts out the stretches where the trigger is 1 as ensembles. Each ensemble
-/// is emitted as OpenScope(scope_ensemble) + audio Data records +
-/// CloseScope, nested inside the enclosing clip scope. Clip attributes
-/// (sample rate, clip id, ground-truth labels) are copied onto each ensemble
-/// OpenScope together with its start sample and length; ensembles shorter
-/// than `min_ensemble_samples` are suppressed.
-///
-/// The pending/merge-gap/length-floor decisions are NOT implemented here:
-/// the operator delegates to detail::StreamCutter — the same automaton
-/// behind StreamSession — and only handles record pairing, clip scopes, and
-/// ensemble serialization. The operator pipeline and the sessions therefore
-/// cannot diverge (bit-identity is pinned by tests/test_core_ops.cpp).
-class CutterOp final : public river::Operator {
- public:
-  explicit CutterOp(const PipelineParams& params);
-
-  void process(river::Record rec, river::Emitter& out) override;
-  void flush(river::Emitter& out) override;
-  [[nodiscard]] std::string_view name() const override { return "cutter"; }
-
-  /// Total ensembles emitted (across all clips).
-  [[nodiscard]] std::size_t ensembles_emitted() const { return ensembles_; }
-
- private:
-  void pump(river::Emitter& out);
-  void emit_ready(river::Emitter& out, bool bad);
-  void emit_cut(river::Emitter& out, detail::StreamCutter::Cut cut, bool bad);
-
-  PipelineParams params_;
-  // Clip context.
-  river::AttrMap clip_attrs_;
-  std::uint32_t clip_depth_ = 0;
-  bool in_clip_ = false;
-  // Paired FIFOs (samples).
-  std::vector<float> audio_fifo_;
-  std::vector<float> trigger_fifo_;
-  /// The shared trigger-run -> gap-merge -> length-floor automaton
-  /// (reset per clip; its frame index is the clip sample cursor).
-  detail::StreamCutter cutter_;
-  std::size_t ensembles_ = 0;
-  std::uint64_t next_ensemble_id_ = 0;
 };
 
 }  // namespace dynriver::core

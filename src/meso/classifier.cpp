@@ -44,6 +44,7 @@ void MesoClassifier::train(std::span<const float> features, Label label) {
     DR_EXPECTS(features.size() == patterns_.front().features.size());
   }
 
+  index_.invalidate();  // absorb() moves centres, emplace adds spheres
   const std::size_t pattern_index = patterns_.size();
   patterns_.push_back(Pattern{FeatureVec(features.begin(), features.end()), label});
 
@@ -77,11 +78,15 @@ void MesoClassifier::train(std::span<const float> features, Label label) {
   }
 }
 
-void MesoClassifier::ensure_tree() const {
-  if (!tree_ || tree_built_for_ != spheres_.size()) {
-    tree_.emplace(spheres_, params_.tree_leaf_size);
-    tree_built_for_ = spheres_.size();
+const SphereTree& MesoClassifier::tree() const {
+  if (!index_.built.load(std::memory_order_acquire)) {
+    common::LockGuard lock(index_.mu);
+    if (!index_.built.load(std::memory_order_relaxed)) {
+      index_.tree.emplace(spheres_, params_.tree_leaf_size);
+      index_.built.store(true, std::memory_order_release);
+    }
   }
+  return *index_.tree;
 }
 
 MesoClassifier::QueryResult MesoClassifier::query(
@@ -90,8 +95,7 @@ MesoClassifier::QueryResult MesoClassifier::query(
   if (spheres_.empty()) return result;
   DR_EXPECTS(features.size() == patterns_.front().features.size());
 
-  ensure_tree();
-  const auto found = tree_->nearest(spheres_, features);
+  const auto found = tree().nearest(spheres_, features);
   result.sphere_index = found.sphere_index;
 
   if (!params_.nearest_pattern_query) {
@@ -136,8 +140,7 @@ void MesoClassifier::reset() {
   patterns_.clear();
   spheres_.clear();
   delta_ = 0.0;
-  tree_.reset();
-  tree_built_for_ = 0;
+  index_.invalidate();
 }
 
 MesoStats MesoClassifier::stats() const {
@@ -146,9 +149,8 @@ MesoStats MesoClassifier::stats() const {
   s.patterns = patterns_.size();
   s.delta = delta_;
   if (!spheres_.empty()) {
-    ensure_tree();
-    s.tree_nodes = tree_->node_count();
-    s.tree_depth = tree_->depth();
+    s.tree_nodes = tree().node_count();
+    s.tree_depth = tree().depth();
     std::size_t pure_patterns = 0;
     for (const auto& sphere : spheres_) {
       if (sphere.pure()) pure_patterns += sphere.size();

@@ -12,9 +12,11 @@
 // majority label.
 #pragma once
 
+#include <atomic>
 #include <iosfwd>
 #include <optional>
 
+#include "common/thread_annotations.hpp"
 #include "meso/sphere.hpp"
 #include "meso/tree.hpp"
 #include "meso/types.hpp"
@@ -89,16 +91,38 @@ class MesoClassifier final : public Classifier {
   [[nodiscard]] std::pair<std::size_t, double> nearest_sphere_linear(
       std::span<const float> features) const;
 
-  void ensure_tree() const;
+  /// The query index, built on first use after train()/reset(). Safe for
+  /// concurrent const callers: the first builds under `mu`, later ones see
+  /// `built` and read the tree without locking.
+  [[nodiscard]] const SphereTree& tree() const;
+
+  /// Lazily built query index. train() moves sphere centres (absorb) as
+  /// well as adding spheres, so any training invalidates it. Copies start
+  /// unbuilt.
+  struct QueryIndex {
+    QueryIndex() = default;
+    QueryIndex(const QueryIndex& /*other*/) {}
+    QueryIndex& operator=(const QueryIndex& /*other*/) {
+      invalidate();
+      return *this;
+    }
+    /// Non-const callers only (no concurrent queries).
+    void invalidate() {
+      built.store(false, std::memory_order_relaxed);
+      tree.reset();
+    }
+
+    common::Mutex mu;
+    std::atomic<bool> built{false};
+    /// Written under `mu` before `built` is released; read-only after.
+    std::optional<SphereTree> tree;
+  };
 
   MesoParams params_;
   std::vector<Pattern> patterns_;
   std::vector<SensitivitySphere> spheres_;
   double delta_ = 0.0;  // squared radius not stored; delta is a distance
-
-  // Query index, rebuilt lazily after training mutates the sphere set.
-  mutable std::optional<SphereTree> tree_;
-  mutable std::size_t tree_built_for_ = 0;  // sphere count at build time
+  mutable QueryIndex index_;
 };
 
 }  // namespace dynriver::meso

@@ -1,9 +1,10 @@
-// Record channels: the links between pipeline segments.
+// Record channels: the links between stations and the analysis host.
 //
-// A channel moves records between segments that may live on different
-// threads or hosts. InProcessChannel is a bounded MPMC queue providing
-// backpressure; LossyChannel wraps another channel and injects faults
-// (drops the connection after N records) to exercise BadCloseScope recovery.
+// A channel moves records between producers and consumers that may live on
+// different threads or hosts. InProcessChannel is a bounded MPMC queue
+// providing backpressure; LossyChannel wraps another channel and injects
+// faults (drops the connection after N records) to exercise abnormal-end
+// handling downstream.
 #pragma once
 
 #include <chrono>
@@ -47,7 +48,7 @@ class RecordChannel {
   /// Clean end-of-stream from the sending side.
   virtual void close() = 0;
 
-  /// Abnormal termination (simulates a dying host/segment).
+  /// Abnormal termination (simulates a dying host).
   virtual void disconnect() = 0;
 };
 

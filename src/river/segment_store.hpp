@@ -11,7 +11,7 @@
 //   ├── seg-000001.drs      sealed
 //   └── seg-000002.drs      active: payload only, growing
 //
-// Segment file layout (all integers little-endian):
+// On-disk segment file layout (all integers little-endian):
 //   header   magic 'DRSG' u32 | version u16 | flags u16            (8 bytes)
 //   payload  N x envelope: len u32 | t f64 | wire frame (len bytes)
 //   -- sealing appends --

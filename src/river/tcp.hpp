@@ -1,8 +1,9 @@
-// Minimal RAII TCP transport for cross-host pipeline segments.
+// Minimal RAII TCP transport for record streams between hosts.
 //
-// streamin/streamout use these primitives to carry wire-encoded records over
-// real sockets. Only what the pipeline needs is wrapped: listen/accept,
-// connect, full-buffer send, and a record-oriented receive loop.
+// Stations use these primitives to carry wire-encoded records over real
+// sockets to an analysis host (a RecordChannelSource on the receiving end).
+// Only what that needs is wrapped: listen/accept, connect, full-buffer send,
+// and a record-oriented receive loop.
 #pragma once
 
 #include <cstdint>

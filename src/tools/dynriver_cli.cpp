@@ -36,7 +36,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/birdsong.hpp"
+#include "core/params.hpp"
 #include "core/session_scheduler.hpp"
 #include "core/stream_session.hpp"
 #include "dsp/wav.hpp"

@@ -1,238 +1,241 @@
-// System-level integration: the full distributed scenario. Sensor stations
-// produce clips; the extraction and spectral segments run on separate
-// threads connected by channels (and real TCP); segments are relocated
-// mid-stream; upstream failures are contained by BadCloseScope recovery; the
-// harvested patterns classify correctly.
+// System-level integration of the production path: field stations stream
+// clips over loopback TCP into RecordChannelSources that feed one
+// SessionScheduler. Every station's ensembles must be bit-identical to a
+// batch EnsembleExtractor run over the samples that station delivered; an
+// upstream dying mid-clip is contained to its own station; and ensembles
+// featurized by FeatureExtractor classify correctly through MESO.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
-#include "core/birdsong.hpp"
+#include "core/extractor.hpp"
+#include "core/features.hpp"
 #include "core/ops_acoustic.hpp"
+#include "core/session_scheduler.hpp"
 #include "eval/protocol.hpp"
 #include "meso/classifier.hpp"
-#include "river/manager.hpp"
-#include "river/scope.hpp"
-#include "river/stream_io.hpp"
+#include "river/sample_io.hpp"
 #include "river/tcp.hpp"
 #include "synth/station.hpp"
 
 namespace core = dynriver::core;
+namespace dsp = dynriver::dsp;
 namespace river = dynriver::river;
 namespace synth = dynriver::synth;
 namespace meso = dynriver::meso;
-using river::Record;
-using river::RecordType;
-using river::RecvStatus;
 
 namespace {
-core::PipelineParams params() { return core::PipelineParams{}; }
+const core::PipelineParams kParams;
 
-void feed_clip_records(river::RecordChannel& ch, const synth::ClipRecording& rec,
-                       const std::string& species_code) {
-  river::AttrMap attrs;
-  attrs.emplace(core::kAttrSpecies, species_code);
-  for (auto& r :
-       core::clip_to_records(rec.clip, rec.clip_id, params().record_size, attrs)) {
-    ch.send(std::move(r));
+/// One station's upstream: the record stream it sends, and how many of those
+/// records go out before the peer dies (all of them for a healthy station).
+struct Upstream {
+  std::vector<river::Record> records;
+  std::size_t send_count = 0;
+  [[nodiscard]] bool dies() const { return send_count < records.size(); }
+};
+
+/// What the analysis host made of one station.
+struct StationResult {
+  std::vector<river::Ensemble> ensembles;
+  std::vector<float> samples_sent;  ///< audio of the records that went out
+  std::shared_ptr<river::RecordChannelSource> source;
+  core::StationStats stats;
+};
+
+Upstream make_upstream(const synth::ClipRecording& clip, std::uint64_t clip_id,
+                       double send_fraction = 1.0) {
+  Upstream up;
+  up.records = core::clip_to_records(clip.clip, clip_id, kParams.record_size);
+  up.send_count = static_cast<std::size_t>(
+      send_fraction * static_cast<double>(up.records.size()));
+  return up;
+}
+
+/// Audio samples carried by the first `count` records.
+std::vector<float> audio_of(const std::vector<river::Record>& records,
+                            std::size_t count) {
+  std::vector<float> samples;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (records[i].type != river::RecordType::kData) continue;
+    const auto f = records[i].floats();
+    samples.insert(samples.end(), f.begin(), f.end());
   }
+  return samples;
+}
+
+/// Serve every upstream over its own loopback TCP connection into one
+/// source-fed SessionScheduler with `lanes` worker lanes. A dying upstream
+/// waits until the host has taken in everything it sent, then closes
+/// abortively (no EOS sentinel), so the samples it delivered are exactly
+/// the samples it sent.
+std::vector<StationResult> serve(const std::vector<Upstream>& upstreams,
+                                 std::size_t lanes) {
+  core::SchedulerOptions options;
+  options.threads = lanes;
+  core::SessionScheduler scheduler(std::move(options));
+  std::vector<StationResult> results(upstreams.size());
+  std::vector<std::shared_ptr<river::CollectingEnsembleSink>> sinks;
+  std::vector<river::TcpRecordChannel> clients;
+  clients.reserve(upstreams.size());
+
+  // Connect and accept pairwise, so station s is upstream s.
+  river::TcpListener listener(0);
+  for (std::size_t s = 0; s < upstreams.size(); ++s) {
+    clients.emplace_back(river::TcpStream::connect("127.0.0.1", listener.port()));
+    auto incoming = std::make_shared<river::TcpRecordChannel>(listener.accept());
+    results[s].source = std::make_shared<river::RecordChannelSource>(incoming);
+    results[s].samples_sent =
+        audio_of(upstreams[s].records, upstreams[s].send_count);
+    sinks.push_back(std::make_shared<river::CollectingEnsembleSink>());
+    core::StationConfig config;
+    config.params = kParams;
+    config.queue_capacity_samples = 16 * kParams.record_size;
+    scheduler.add_station("tcp-station-" + std::to_string(s), results[s].source,
+                          sinks[s], config);
+  }
+
+  std::vector<std::thread> senders;
+  for (std::size_t s = 0; s < upstreams.size(); ++s) {
+    senders.emplace_back([&, s] {
+      const Upstream& up = upstreams[s];
+      river::TcpRecordChannel& ch = clients[s];
+      for (std::size_t i = 0; i < up.send_count; ++i) {
+        EXPECT_TRUE(ch.send(up.records[i]));
+      }
+      if (!up.dies()) {
+        ch.close();  // clean end of stream
+        return;
+      }
+      const std::size_t sent = results[s].samples_sent.size();
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(60);
+      while (scheduler.stats().stations[s].samples_in < sent &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      ch.disconnect();  // dies mid-clip: no CloseScope, no EOS sentinel
+    });
+  }
+  scheduler.run();
+  for (auto& t : senders) t.join();
+
+  const auto stats = scheduler.stats();
+  for (std::size_t s = 0; s < upstreams.size(); ++s) {
+    results[s].ensembles = std::move(sinks[s]->ensembles);
+    results[s].stats = stats.stations[s];
+  }
+  return results;
+}
+
+/// The station's ensembles equal a batch extraction of the samples it
+/// delivered: same count, same starts, same samples bit for bit.
+void expect_matches_batch(const StationResult& station, const std::string& name) {
+  const auto batch =
+      core::EnsembleExtractor(kParams).extract(station.samples_sent).ensembles;
+  ASSERT_EQ(station.ensembles.size(), batch.size()) << name;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(station.ensembles[i].start_sample, batch[i].start_sample)
+        << name << " ensemble " << i;
+    EXPECT_TRUE(station.ensembles[i].samples == batch[i].samples)
+        << name << " ensemble " << i;
+  }
+}
+
+std::vector<Upstream> three_stations(double station1_send_fraction) {
+  std::vector<Upstream> upstreams;
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    synth::SensorStation station(synth::StationParams{}, 900 + s);
+    const auto clip = station.record_clip(
+        {static_cast<synth::SpeciesId>(s % synth::kNumSpecies),
+         static_cast<synth::SpeciesId>((s + 2) % synth::kNumSpecies)});
+    upstreams.push_back(
+        make_upstream(clip, s, s == 1 ? station1_send_fraction : 1.0));
+  }
+  return upstreams;
 }
 }  // namespace
 
-TEST(Integration, TwoSegmentPipelineOverChannels) {
-  // Segment A: extraction (saxanomaly -> trigger -> cutter).
-  // Segment B: spectral (reslice .. rec2vect).
-  auto source = std::make_shared<river::InProcessChannel>(64);
-  auto middle = std::make_shared<river::InProcessChannel>(64);
-  auto sink_ch = std::make_shared<river::InProcessChannel>(4096);
+TEST(Integration, TcpStationsThroughSchedulerMatchBatchExtraction) {
+  const auto results = serve(three_stations(1.0), /*lanes=*/2);
+  std::size_t ensembles = 0;
+  for (std::size_t s = 0; s < results.size(); ++s) {
+    const auto name = "station " + std::to_string(s);
+    EXPECT_TRUE(results[s].source->clean()) << name;
+    EXPECT_TRUE(results[s].stats.finished) << name;
+    EXPECT_EQ(results[s].stats.samples_consumed, results[s].samples_sent.size())
+        << name;
+    expect_matches_batch(results[s], name);
+    ensembles += results[s].ensembles.size();
+  }
+  EXPECT_GE(ensembles, 3u);  // the comparison is not vacuous
+}
 
-  river::Segment seg_a("extract", core::make_extraction_pipeline(params()),
-                       source, middle);
-  river::Segment seg_b("spectral", core::make_spectral_pipeline(params()),
-                       middle, sink_ch);
+TEST(Integration, UpstreamDeathMidClipIsContainedToItsStation) {
+  const auto results = serve(three_stations(2.0 / 3.0), /*lanes=*/2);
+  ASSERT_EQ(results.size(), 3u);
 
-  std::thread ta([&] { (void)seg_a.run(); });
-  std::thread tb([&] { (void)seg_b.run(); });
+  // The dead peer: its source reports the abnormal end, its station still
+  // finishes (the session finalizes the open ensemble), and what it did
+  // extract equals batch extraction of the prefix it delivered.
+  const auto& dead = results[1];
+  EXPECT_FALSE(dead.source->clean());
+  EXPECT_TRUE(dead.stats.finished);
+  EXPECT_GT(dead.samples_sent.size(), 0u);
+  EXPECT_EQ(dead.stats.samples_consumed, dead.samples_sent.size());
+  expect_matches_batch(dead, "dead station");
 
-  synth::StationParams sp;
-  sp.distractor_probability = 0.0;
-  synth::SensorStation station(sp, 1001);
-  const auto clip =
-      station.record_clip({synth::SpeciesId::kRWBL, synth::SpeciesId::kRWBL});
-  feed_clip_records(*source, clip, "RWBL");
-  source->close();
-
-  ta.join();
-  tb.join();
-
-  std::vector<Record> collected;
-  Record rec;
-  while (sink_ch->recv(rec) == RecvStatus::kRecord) collected.push_back(rec);
-
-  river::ScopeTracker tracker;
-  for (const auto& r : collected) tracker.observe(r);
-  EXPECT_FALSE(tracker.any_open());
-
-  const auto patterns = core::harvest_patterns(collected);
-  ASSERT_GE(patterns.size(), 2u);
-  for (const auto& p : patterns) {
-    EXPECT_EQ(p.species, "RWBL");
-    EXPECT_EQ(p.features.size(), params().features_per_pattern());
+  // The survivors are untouched by their neighbour's death.
+  for (const std::size_t s : {std::size_t{0}, std::size_t{2}}) {
+    const auto name = "station " + std::to_string(s);
+    EXPECT_TRUE(results[s].source->clean()) << name;
+    EXPECT_TRUE(results[s].stats.finished) << name;
+    EXPECT_EQ(results[s].stats.samples_consumed, results[s].samples_sent.size())
+        << name;
+    expect_matches_batch(results[s], name);
   }
 }
 
-TEST(Integration, PipelineSplitAcrossRealTcp) {
-  river::TcpListener listener(0);
-  const auto port = listener.port();
-
-  // Host A: runs extraction, streams ensembles out over TCP.
-  std::thread host_a([port] {
-    auto source = std::make_shared<river::InProcessChannel>(64);
-    synth::StationParams sp;
-    sp.distractor_probability = 0.0;
-    synth::SensorStation station(sp, 2002);
-    const auto clip = station.record_clip({synth::SpeciesId::kNOCA});
-
-    std::thread feeder([&source, &clip] {
-      feed_clip_records(*source, clip, "NOCA");
-      source->close();
-    });
-
-    auto tcp = std::make_shared<river::TcpRecordChannel>(
-        river::TcpStream::connect("127.0.0.1", port));
-    river::Segment segment("extract", core::make_extraction_pipeline(params()),
-                           source, tcp);
-    (void)segment.run();
-    feeder.join();
-  });
-
-  // Host B: receives over TCP, runs the spectral segment.
-  river::TcpRecordChannel incoming(listener.accept());
-  auto spectral = core::make_spectral_pipeline(params());
-  river::VectorEmitter sink;
-  const auto result = river::stream_in(incoming, spectral, sink);
-  host_a.join();
-
-  EXPECT_TRUE(result.clean);
-  const auto patterns = core::harvest_patterns(sink.records);
-  ASSERT_FALSE(patterns.empty());
-  EXPECT_EQ(patterns.front().species, "NOCA");
-}
-
-TEST(Integration, UpstreamDeathMidClipIsContained) {
-  river::TcpListener listener(0);
-  const auto port = listener.port();
-
-  // Upstream dies after sending a partial clip (no CloseScope).
-  std::thread dying_upstream([port] {
-    river::TcpRecordChannel ch(river::TcpStream::connect("127.0.0.1", port));
-    synth::StationParams sp;
-    synth::SensorStation station(sp, 3003);
-    const auto clip = station.record_clip({synth::SpeciesId::kBLJA});
-    auto records =
-        core::clip_to_records(clip.clip, 0, params().record_size);
-    // Send the open scope and half the data records, then die abruptly.
-    const std::size_t half = records.size() / 2;
-    for (std::size_t i = 0; i < half; ++i) ch.send(std::move(records[i]));
-    ch.disconnect();
-  });
-
-  river::TcpRecordChannel incoming(listener.accept());
-  auto full = core::make_full_pipeline(params());
-  river::VectorEmitter sink;
-  const auto result = river::stream_in(incoming, full, sink);
-  dying_upstream.join();
-
-  EXPECT_FALSE(result.clean);
-  EXPECT_EQ(result.bad_closes_emitted, 1u);  // the dangling clip scope
-
-  // Downstream output is still well-formed despite the upstream death.
-  river::ScopeTracker tracker;
-  for (const auto& rec : sink.records) tracker.observe(rec);
-  EXPECT_FALSE(tracker.any_open());
-}
-
-TEST(Integration, RelocationDuringLiveExtraction) {
-  river::PipelineManager manager;
-  manager.add_host("field-station");
-  manager.add_host("observatory");
-
-  auto source = std::make_shared<river::InProcessChannel>(32);
-  auto sink_ch = std::make_shared<river::InProcessChannel>(100000);
-
-  manager.deploy(std::make_unique<river::Segment>(
-                     "full", core::make_full_pipeline(params()), source, sink_ch),
-                 "field-station");
-
-  synth::StationParams sp;
-  sp.distractor_probability = 0.0;
-  synth::SensorStation station(sp, 4004);
-
-  std::thread feeder([&] {
-    for (int c = 0; c < 4; ++c) {
-      const auto clip = station.record_clip({synth::SpeciesId::kTUTI});
-      feed_clip_records(*source, clip, "TUTI");
-    }
-    source->close();
-  });
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  (void)manager.relocate("full", "observatory");
-  feeder.join();
-  const auto stats = manager.wait_all();
-  EXPECT_EQ(stats.at("full").cause, river::SegmentStopCause::kUpstreamClosed);
-
-  std::vector<Record> collected;
-  Record rec;
-  while (sink_ch->recv(rec) == RecvStatus::kRecord) collected.push_back(rec);
-
-  river::ScopeTracker tracker;
-  for (const auto& r : collected) tracker.observe(r);
-  EXPECT_FALSE(tracker.any_open());
-
-  // All four clips' ensembles survived the relocation.
-  const auto patterns = core::harvest_patterns(collected);
-  EXPECT_GE(patterns.size(), 4u);
-}
-
-TEST(Integration, EndToEndClassificationAcrossThreads) {
-  // Train MESO on patterns from two species, then classify a fresh clip
-  // that flowed through a threaded two-segment pipeline.
+TEST(Integration, EndToEndClassificationThroughTheScheduler) {
+  // Train MESO on featurized ensembles of two species, then classify a
+  // fresh clip that reached the host over TCP and was extracted on the
+  // scheduler's worker lanes.
   synth::StationParams sp;
   sp.distractor_probability = 0.0;
   synth::SensorStation station(sp, 5005);
-  const auto p = params();
+  const core::EnsembleExtractor extractor(kParams);
+  const core::FeatureExtractor features(kParams, extractor.engine());
 
   meso::MesoClassifier clf;
   for (int round = 0; round < 6; ++round) {
     for (const auto id : {synth::SpeciesId::kMODO, synth::SpeciesId::kNOCA}) {
       const auto clip = station.record_clip({id});
-      for (const auto& pat : core::process_clip(clip.clip, 0, p)) {
-        clf.train(pat.features, static_cast<meso::Label>(id));
+      const auto samples = dsp::to_mono(clip.clip);
+      for (const auto& e : extractor.extract(samples).ensembles) {
+        for (const auto& pattern : features.patterns(e.samples)) {
+          clf.train(pattern, static_cast<meso::Label>(id));
+        }
       }
     }
   }
   ASSERT_GT(clf.pattern_count(), 20u);
 
-  // Fresh test clip through a threaded pipeline.
-  auto source = std::make_shared<river::InProcessChannel>(64);
-  auto sink_ch = std::make_shared<river::InProcessChannel>(100000);
-  river::Segment segment("full", core::make_full_pipeline(p), source, sink_ch);
-  std::thread runner([&] { (void)segment.run(); });
-
   const auto test_clip = station.record_clip({synth::SpeciesId::kMODO});
-  feed_clip_records(*source, test_clip, "MODO");
-  source->close();
-  runner.join();
-
-  std::vector<Record> collected;
-  Record rec;
-  while (sink_ch->recv(rec) == RecvStatus::kRecord) collected.push_back(rec);
-  const auto patterns = core::harvest_patterns(collected);
-  ASSERT_FALSE(patterns.empty());
+  const auto results = serve({make_upstream(test_clip, 0)}, /*lanes=*/2);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].source->clean());
 
   std::vector<int> votes;
-  for (const auto& pat : patterns) votes.push_back(clf.classify(pat.features));
+  for (const auto& e : results[0].ensembles) {
+    for (const auto& pattern : features.patterns(e.samples)) {
+      votes.push_back(clf.classify(pattern));
+    }
+  }
+  ASSERT_FALSE(votes.empty());
   const int predicted = dynriver::eval::majority_vote(votes, synth::kNumSpecies);
   EXPECT_EQ(predicted, static_cast<int>(synth::SpeciesId::kMODO));
 }

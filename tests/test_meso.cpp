@@ -3,9 +3,13 @@
 // and the baseline classifiers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <random>
 #include <sstream>
+#include <thread>
 
 #include "common/contracts.hpp"
 #include "meso/baselines.hpp"
@@ -293,4 +297,75 @@ TEST(Baselines, AccuracyOrderingOnBlobs) {
   const double meso_acc = accuracy(mesoc);
   EXPECT_GT(knn_acc, 0.85);
   EXPECT_GT(meso_acc, knn_acc - 0.1);  // MESO within 10 points of exact 1-NN
+}
+
+namespace {
+/// Squared distance from `x` to the centre of sphere `sphere`.
+double center_d2(const meso::MesoClassifier& clf, std::size_t sphere,
+                 std::span<const float> x) {
+  double d2 = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double d = static_cast<double>(clf.spheres()[sphere].center()[i]) - x[i];
+    d2 += d * d;
+  }
+  return d2;
+}
+
+/// Squared distance from `x` to the nearest sphere centre, by linear scan.
+double linear_nearest_d2(const meso::MesoClassifier& clf,
+                         std::span<const float> x) {
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t s = 0; s < clf.sphere_count(); ++s) {
+    best = std::min(best, center_d2(clf, s, x));
+  }
+  return best;
+}
+}  // namespace
+
+TEST(MesoClassifier, InterleavedTrainAndQueryFindTheNearestSphere) {
+  // Regression: the query index was rebuilt only when the sphere count
+  // changed, but absorb() moves a centre without adding a sphere, so the
+  // tree's cached radii went stale and a query could return a sphere that
+  // is not the nearest. Every query must agree with a linear scan.
+  std::mt19937 rng(20071);
+  std::normal_distribution<float> noise(0.0F, 1.0F);
+  std::uniform_int_distribution<int> label(0, 3);
+  meso::MesoClassifier clf;
+  std::vector<float> x(6);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const int l = label(rng);
+    for (auto& v : x) v = noise(rng) + 4.0F * static_cast<float>(l);
+    clf.train(x, l);
+    for (auto& v : x) v = noise(rng) * 3.0F + 6.0F;
+    const auto found = clf.query(x);
+    if (center_d2(clf, found.sphere_index, x) > linear_nearest_d2(clf, x)) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(MesoClassifier, ConcurrentFirstClassifyMatchesSerial) {
+  // Several lanes may make the first classify() after training at once;
+  // the lazy index build must be race-free (run under the tsan preset) and
+  // every lane must see the same answers as a serial classifier.
+  const auto data = make_blobs(4, 150, 16, 1.0F, 7);
+  meso::MesoClassifier clf;
+  for (const auto& p : data) clf.train(p.features, p.label);
+  const meso::MesoClassifier serial = clf;  // copies start with no index
+  std::vector<meso::Label> want;
+  for (const auto& p : data) want.push_back(serial.classify(p.features));
+
+  constexpr int kLanes = 4;
+  std::vector<std::vector<meso::Label>> got(kLanes);
+  std::vector<std::thread> lanes;
+  for (int t = 0; t < kLanes; ++t) {
+    lanes.emplace_back([&, t] {
+      auto& out = got[static_cast<std::size_t>(t)];
+      for (const auto& p : data) out.push_back(clf.classify(p.features));
+    });
+  }
+  for (auto& lane : lanes) lane.join();
+  for (const auto& lane : got) EXPECT_EQ(lane, want);
 }

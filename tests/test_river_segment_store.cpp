@@ -1,4 +1,4 @@
-// Segment store (river/segment_store.hpp): rotation, sealing, manifest,
+// The segment store (river/segment_store.hpp): rotation, sealing, manifest,
 // O(log n) seek with sparse-index probes, CRC32C damage detection,
 // crash recovery, retention, compaction — and replay bit-identity: the
 // same ensembles whether extraction runs live, from a flat record log, or
@@ -781,7 +781,7 @@ TEST_F(SegmentStoreTest, ReplayIsBitIdenticalToFlatLogAndLiveExtraction) {
     writer.close();
   }
 
-  // Segment-store replay, with rotation forced mid-stream.
+  // Replay from the segment store, with rotation forced mid-stream.
   const auto dir = store_dir();
   {
     river::SegmentStoreOptions options;

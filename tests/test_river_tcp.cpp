@@ -1,15 +1,13 @@
 // TCP transport: record streams over real loopback sockets, clean EOS via
-// sentinel, abnormal death producing BadCloseScope recovery downstream.
+// sentinel, abnormal death reported as a disconnect.
 #include <gtest/gtest.h>
 
 #include <thread>
 
-#include "river/stream_io.hpp"
 #include "river/tcp.hpp"
 
 namespace river = dynriver::river;
 using river::Record;
-using river::RecordType;
 using river::RecvStatus;
 
 namespace {
@@ -81,32 +79,6 @@ TEST(Tcp, AbruptDeathReportsDisconnect) {
   EXPECT_EQ(server.recv(rec), RecvStatus::kRecord);
   EXPECT_EQ(server.recv(rec), RecvStatus::kDisconnected);
   client.join();
-}
-
-TEST(Tcp, StreamInSynthesizesBadClosesOnDeadUpstream) {
-  river::TcpListener listener(0);
-  const auto port = listener.port();
-
-  std::thread upstream([port] {
-    river::TcpRecordChannel ch(river::TcpStream::connect("127.0.0.1", port));
-    EXPECT_TRUE(ch.send(Record::open_scope(river::kScopeClip, 0)));
-    EXPECT_TRUE(ch.send(Record::open_scope(river::kScopeEnsemble, 1)));
-    EXPECT_TRUE(ch.send(make_audio(1)));
-    ch.disconnect();  // dies mid-clip, mid-ensemble
-  });
-
-  river::TcpRecordChannel server(listener.accept());
-  river::VectorEmitter sink;
-  const auto result = river::stream_in(server, sink);
-  upstream.join();
-
-  EXPECT_FALSE(result.clean);
-  EXPECT_EQ(result.records_in, 3u);
-  EXPECT_EQ(result.bad_closes_emitted, 2u);
-  ASSERT_EQ(sink.records.size(), 5u);
-  EXPECT_EQ(sink.records[3].type, RecordType::kBadCloseScope);
-  EXPECT_EQ(sink.records[4].type, RecordType::kBadCloseScope);
-  EXPECT_EQ(sink.records[4].scope_type, river::kScopeClip);
 }
 
 TEST(Tcp, ConnectToClosedPortThrows) {
