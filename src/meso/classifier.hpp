@@ -97,12 +97,12 @@ class MesoClassifier final : public Classifier {
   [[nodiscard]] const SphereTree& tree() const;
 
   /// Lazily built query index. train() moves sphere centres (absorb) as
-  /// well as adding spheres, so any training invalidates it. Copies start
-  /// unbuilt.
+  /// well as adding spheres, so any training invalidates it. A moved-to
+  /// classifier starts unbuilt (the mutex and flag cannot move).
   struct QueryIndex {
     QueryIndex() = default;
-    QueryIndex(const QueryIndex& /*other*/) {}
-    QueryIndex& operator=(const QueryIndex& /*other*/) {
+    QueryIndex(QueryIndex&& /*other*/) noexcept {}
+    QueryIndex& operator=(QueryIndex&& /*other*/) noexcept {
       invalidate();
       return *this;
     }

@@ -352,8 +352,11 @@ TEST(MesoClassifier, ConcurrentFirstClassifyMatchesSerial) {
   // every lane must see the same answers as a serial classifier.
   const auto data = make_blobs(4, 150, 16, 1.0F, 7);
   meso::MesoClassifier clf;
-  for (const auto& p : data) clf.train(p.features, p.label);
-  const meso::MesoClassifier serial = clf;  // copies start with no index
+  meso::MesoClassifier serial;  // trained identically, queried on one thread
+  for (const auto& p : data) {
+    clf.train(p.features, p.label);
+    serial.train(p.features, p.label);
+  }
   std::vector<meso::Label> want;
   for (const auto& p : data) want.push_back(serial.classify(p.features));
 
